@@ -11,10 +11,15 @@
 use crate::cache::{compute_seed, ddg_content_hash, SweepCache};
 use crate::job::JobSpec;
 use crate::record::{esc, RunRecord, SweepStats};
-use gpsched_sched::{schedule_loop_spec_seeded, ScheduledWith};
+use gpsched_sched::drivers::DriverConfig;
+use gpsched_sched::portfolio::race_with;
+use gpsched_sched::{
+    schedule_loop_spec_seeded, AlgorithmSpec, LoopResult, SchedError, SchedSeed, ScheduledWith,
+};
+use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A unit that could not be scheduled at all.
@@ -63,9 +68,10 @@ impl UnitFailure {
 pub struct SweepOptions {
     /// Worker threads; `0` means one per available CPU.
     pub workers: usize,
-    /// Serve MII/partition preprocessing from the content-hash memo cache.
-    /// Disable for timing studies (Table 2) where every unit must pay its
-    /// full algorithmic cost.
+    /// Serve MII/partition preprocessing from the content-hash memo cache,
+    /// and share unconstrained schedules between the units of one (loop,
+    /// machine) group within the sweep. Disable for timing studies
+    /// (Table 2) where every unit must pay its full algorithmic cost.
     pub use_cache: bool,
     /// Print a periodic progress line (units done/total, loops/s, ETA) to
     /// stderr. Never mixed into the JSONL sink.
@@ -116,6 +122,91 @@ pub struct SweepResult {
     pub stats: SweepStats,
 }
 
+/// A unit's (loop, machine) group: the units that share its seed.
+type GroupKey = (usize, usize);
+
+/// One shared schedule outcome, computed by whichever unit asks first.
+type Outcome = Arc<OnceLock<Result<LoopResult, SchedError>>>;
+
+/// Unconstrained schedule outcomes shared within one sweep.
+///
+/// Every unit of a (loop, machine) group schedules from the same seed,
+/// and a run under the job's own driver config is a pure function of
+/// `(loop, machine, spec)`. So a fixed-spec unit and a portfolio unit
+/// whose leader or list floor is that same spec need it computed once:
+/// the first asker runs it, concurrent askers block on the cell, later
+/// ones clone it. A group's outcomes are dropped as soon as its last unit
+/// finishes, so memory is bounded by the groups in flight, and nothing
+/// outlives the sweep.
+struct OutcomeTable {
+    units_per_group: usize,
+    groups: Mutex<HashMap<GroupKey, Group>>,
+}
+
+struct Group {
+    /// Units of the group not yet finished.
+    pending: usize,
+    outcomes: HashMap<AlgorithmSpec, Outcome>,
+}
+
+impl OutcomeTable {
+    fn new(units_per_group: usize) -> Self {
+        OutcomeTable {
+            units_per_group,
+            groups: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn with_group<T>(&self, g: GroupKey, f: impl FnOnce(&mut Group) -> T) -> T {
+        let mut groups = self.groups.lock().expect("outcome table poisoned");
+        let group = groups.entry(g).or_insert_with(|| Group {
+            pending: self.units_per_group,
+            outcomes: HashMap::new(),
+        });
+        let out = f(group);
+        if group.pending == 0 {
+            groups.remove(&g);
+        }
+        out
+    }
+
+    /// The outcome of `spec` in group `g`, running `schedule` only if no
+    /// unit of the group has yet.
+    fn get_or_run(
+        &self,
+        g: GroupKey,
+        spec: AlgorithmSpec,
+        schedule: impl FnOnce() -> Result<LoopResult, SchedError>,
+    ) -> Result<LoopResult, SchedError> {
+        let cell = self.with_group(g, |group| {
+            Arc::clone(group.outcomes.entry(spec).or_default())
+        });
+        let mut ran = false;
+        let outcome = cell.get_or_init(|| {
+            ran = true;
+            schedule()
+        });
+        if !ran {
+            gpsched_trace::counter!("engine.outcome_memo_hits");
+        }
+        outcome.clone()
+    }
+
+    /// Marks one unit of group `g` finished, dropping the group's outcomes
+    /// after its last unit.
+    fn unit_done(&self, g: GroupKey) {
+        self.with_group(g, |group| group.pending -= 1);
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.groups
+            .lock()
+            .expect("outcome table poisoned")
+            .is_empty()
+    }
+}
+
 /// Runs every unit of `job` against a fresh cache, streaming JSONL lines
 /// to `sink` (if any) as units complete.
 ///
@@ -134,8 +225,23 @@ pub fn run_sweep(job: &JobSpec, opts: &SweepOptions, sink: Option<&mut dyn Write
 pub fn run_sweep_cached(
     job: &JobSpec,
     opts: &SweepOptions,
+    sink: Option<&mut dyn Write>,
+    cache: &SweepCache,
+) -> SweepResult {
+    let outcomes = opts
+        .use_cache
+        .then(|| OutcomeTable::new(job.algorithms.len()));
+    sweep_with(job, opts, sink, cache, outcomes.as_ref())
+}
+
+/// [`run_sweep_cached`] with the sweep's outcome table (`None` when the
+/// cache is off).
+fn sweep_with(
+    job: &JobSpec,
+    opts: &SweepOptions,
     mut sink: Option<&mut dyn Write>,
     cache: &SweepCache,
+    outcomes: Option<&OutcomeTable>,
 ) -> SweepResult {
     let t0 = Instant::now();
     let nunits = job.unit_count();
@@ -161,7 +267,11 @@ pub fn run_sweep_cached(
                     if k >= nunits {
                         break;
                     }
-                    let outcome = run_unit(job, k, hashes, cache, opts.use_cache, workers);
+                    let outcome = run_unit(job, k, hashes, cache, outcomes, workers);
+                    if let Some(table) = outcomes {
+                        let (li, mi, _) = job.unit(k);
+                        table.unit_done((li, mi));
+                    }
                     if tx.send(outcome).is_err() {
                         break;
                     }
@@ -213,10 +323,6 @@ pub fn run_sweep_cached(
     );
     stats.failed = failures.len();
     stats.cache_entries = cache.len();
-    // When this sweep runs inside a trace session, embed the per-phase
-    // profile collected so far (non-destructively — the session owner
-    // still finishes and exports the full trace).
-    stats.trace = gpsched_trace::summary_if_active();
     SweepResult {
         records,
         failures,
@@ -289,9 +395,10 @@ fn run_unit(
     k: usize,
     hashes: &[u64],
     cache: &SweepCache,
-    use_cache: bool,
+    outcomes: Option<&OutcomeTable>,
     workers: usize,
 ) -> Result<RunRecord, Box<UnitFailure>> {
+    let use_cache = outcomes.is_some();
     let (li, mi, ai) = job.unit(k);
     let spec = &job.loops[li];
     let machine = &job.machines[mi];
@@ -355,8 +462,29 @@ fn run_unit(
         gpsched_trace::counter!("portfolio.winner_memo_hits");
     }
     let effective = memo_winner.unwrap_or(algorithm);
-    let r = schedule_loop_spec_seeded(&spec.ddg, machine, effective, &job.popts, &cfg, &seed)
-        .map_err(|e| fail(e.to_string()))?;
+    // Runs under the job's own limits are shared with the group's other
+    // units; a portfolio challenger's cutoff or budget makes its run
+    // private.
+    let g = (li, mi);
+    let mut run = |c: AlgorithmSpec, cc: &DriverConfig, s: &SchedSeed| {
+        let schedule = || schedule_loop_spec_seeded(&spec.ddg, machine, c, &job.popts, cc, s);
+        match outcomes {
+            Some(table)
+                if cc.race_cutoff == cfg.race_cutoff && cc.attempt_budget == cfg.attempt_budget =>
+            {
+                table.get_or_run(g, c, schedule)
+            }
+            _ => schedule(),
+        }
+    };
+    let r = if effective.is_portfolio() {
+        race_with(
+            &spec.ddg, machine, effective, &job.popts, &cfg, &seed, &mut run,
+        )
+    } else {
+        run(effective, &cfg, &seed)
+    }
+    .map_err(|e| fail(e.to_string()))?;
     let sched_time_us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if let (Some(key), Some(winner)) = (memo_key, r.selected) {
         cache.record_portfolio_winner(key, &job.cfg, algorithm, winner);
@@ -596,6 +724,42 @@ mod tests {
         let r = run_sweep_cached(&bad, &SweepOptions::serial(), None, &cache);
         assert_eq!(r.failures.len(), 1);
         assert_eq!(cache.stats(), (0, 0), "gate fires before the cache");
+    }
+
+    /// Every fixed spec the portfolio may lead with or floor on, plus the
+    /// portfolio itself: the job whose groups share schedules.
+    fn sharing_job() -> JobSpec {
+        JobSpec::new()
+            .loop_in("k", kernels::fir(100, 8))
+            .loop_in("k", kernels::stencil5(100))
+            .machines([
+                MachineConfig::unified(32),
+                MachineConfig::four_cluster(32, 1, 2),
+            ])
+            .algorithms(Algorithm::ALL)
+            .algorithm(AlgorithmSpec::PORTFOLIO)
+    }
+
+    #[test]
+    fn outcome_table_is_empty_once_the_sweep_returns() {
+        let job = sharing_job();
+        for workers in [1, 3] {
+            let table = OutcomeTable::new(job.algorithms.len());
+            let opts = SweepOptions {
+                workers,
+                ..SweepOptions::default()
+            };
+            let r = sweep_with(&job, &opts, None, &SweepCache::new(), Some(&table));
+            assert_eq!(r.records.len(), job.unit_count());
+            assert!(table.is_empty(), "{workers} workers left groups behind");
+        }
+    }
+
+    #[test]
+    fn portfolio_units_reuse_their_siblings_schedules() {
+        let session = gpsched_trace::TraceSession::start();
+        let _ = run_sweep(&sharing_job(), &SweepOptions::serial(), None);
+        assert!(session.finish().counter("engine.outcome_memo_hits") > 0);
     }
 
     #[test]

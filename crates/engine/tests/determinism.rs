@@ -9,7 +9,7 @@
 
 use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::Algorithm;
+use gpsched_sched::{Algorithm, AlgorithmSpec};
 use gpsched_workloads::{spec_suite, synth::synthesize, SynthProfile};
 use std::collections::BTreeSet;
 
@@ -252,5 +252,65 @@ fn repeated_sweeps_are_identical() {
             .iter()
             .map(|r| r.canonical_fields())
             .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn shared_outcomes_do_not_depend_on_algorithm_order_or_cache() {
+    // With the cache on, the units of one (loop, machine) group share
+    // their unconstrained schedules: whichever of `gp` and the portfolio
+    // leader runs first computes the schedule for both. Reversing the
+    // algorithm order flips who computes, and `--no-cache` shares nothing;
+    // neither may move a canonical field.
+    let suite = spec_suite();
+    let program = suite.iter().find(|p| p.name == "hydro2d").expect("exists");
+    let specs: Vec<AlgorithmSpec> = ["uracam", "fixed", "gp", "list", "portfolio"]
+        .iter()
+        .map(|s| AlgorithmSpec::parse(s).expect("parses"))
+        .collect();
+    let job = |specs: &[AlgorithmSpec]| {
+        JobSpec::new()
+            .program(program)
+            .machines([
+                MachineConfig::unified(32),
+                MachineConfig::two_cluster(32, 1, 1),
+                MachineConfig::four_cluster(32, 1, 2),
+            ])
+            .algorithms(specs.iter().copied())
+    };
+    let reversed: Vec<AlgorithmSpec> = specs.iter().rev().copied().collect();
+    // Canonical records as a sorted list: unit indices differ between the
+    // two orders, the (loop, machine, algorithm) content must not.
+    let canonical = |job: &JobSpec, use_cache: bool| -> Vec<String> {
+        let r = run_sweep(
+            job,
+            &SweepOptions {
+                workers: test_workers(),
+                use_cache,
+                progress: false,
+            },
+            None,
+        );
+        assert!(r.failures.is_empty());
+        assert_eq!(r.records.len(), job.unit_count());
+        let mut lines: Vec<String> = r.records.iter().map(|r| r.canonical_fields()).collect();
+        lines.sort();
+        lines
+    };
+    let reference = canonical(&job(&specs), false);
+    assert_eq!(
+        reference,
+        canonical(&job(&specs), true),
+        "forward, cache on"
+    );
+    assert_eq!(
+        reference,
+        canonical(&job(&reversed), true),
+        "reverse, cache on"
+    );
+    assert_eq!(
+        reference,
+        canonical(&job(&reversed), false),
+        "reverse, cache off"
     );
 }

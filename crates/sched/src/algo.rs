@@ -283,6 +283,21 @@ pub(crate) fn schedule_impl(
 
     // Resolve the precomputed inputs, filling the gaps for direct calls.
     let start_ii = seed.map_or_else(|| gpsched_ddg::mii::mii(ddg, machine), |s| s.start_ii);
+    if spec.is_portfolio() {
+        let unseeded = SchedSeed {
+            start_ii,
+            partition: None,
+        };
+        return crate::portfolio::race_with(
+            ddg,
+            machine,
+            spec,
+            popts,
+            cfg,
+            seed.unwrap_or(&unseeded),
+            &mut |c, cc, s| schedule_impl(ddg, machine, c, popts, cc, Some(s)),
+        );
+    }
     let initial = if spec.needs_partition() {
         Some(
             seed.and_then(|s| s.partition.clone())
@@ -291,10 +306,6 @@ pub(crate) fn schedule_impl(
     } else {
         None
     };
-
-    if spec.is_portfolio() {
-        return crate::portfolio::race(ddg, machine, spec, popts, cfg, start_ii, initial);
-    }
 
     let policies = spec.policies();
     match pipeline::run(ddg, machine, popts, cfg, start_ii, initial, &policies) {

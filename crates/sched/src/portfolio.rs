@@ -15,8 +15,8 @@
 //!    feature vector to an ordering of the fixed CATALOG specs (the
 //!    integer scoring encodes the §7 findings; ties break by catalog
 //!    index).
-//! 3. **Budgeted racing** (`race`, the crate-internal entry the
-//!    scheduler dispatches portfolio specs to): the top `k` candidates run
+//! 3. **Budgeted racing** ([`race_with`], the entry the scheduler
+//!    dispatches portfolio specs to): the top `k` candidates run
 //!    *sequentially in rank order*. The leader runs unconstrained and
 //!    becomes the incumbent; every later challenger is first screened by
 //!    the closed-form lower bound `(niter−1)·MII + max_path₀` (the same
@@ -34,7 +34,7 @@
 //! it never alters a run that succeeds). The engine's winner memo and the
 //! sequential-equivalence argument in DESIGN.md §12 both lean on that.
 
-use crate::algo::{schedule_impl, LoopResult};
+use crate::algo::LoopResult;
 use crate::drivers::DriverConfig;
 use crate::error::SchedError;
 use crate::lifetime::PressureTable;
@@ -43,7 +43,7 @@ use crate::SchedSeed;
 use gpsched_ddg::timing::TimingWorkspace;
 use gpsched_ddg::{Ddg, DepKind};
 use gpsched_machine::MachineConfig;
-use gpsched_partition::{PartitionOptions, PartitionResult};
+use gpsched_partition::{partition_ddg, PartitionOptions, PartitionResult};
 
 /// Cheap shape descriptors of one scheduling unit, extracted in one pass
 /// over the DDG (plus one timing analysis at the MII). All fields are
@@ -278,35 +278,51 @@ fn key(r: &LoopResult) -> (u64, i64, i64) {
     (r.cycles(), r.schedule.ii(), r.schedule.length())
 }
 
-/// Runs the portfolio race for one unit. Called by the scheduling entry
-/// points when the spec [is a portfolio](AlgorithmSpec::is_portfolio);
-/// `start_ii`/`initial` are the unit's resolved MII and seed partition
-/// (every candidate shares them).
+/// Runs the portfolio race for one unit through `run`, the caller's way
+/// of scheduling one candidate spec under a driver configuration from the
+/// race's seed. [`crate::schedule_loop_spec_seeded`] dispatches portfolio
+/// specs here with a runner that schedules every candidate afresh; a batch
+/// executor may instead serve unconstrained runs (those whose config
+/// carries `cfg`'s own `race_cutoff` and `attempt_budget`) from schedules
+/// it already holds, since each is a pure function of its inputs.
+///
+/// `seed` carries the unit's MII; a missing seed partition is computed
+/// here at that II, because every candidate and the feature extractor
+/// share it. The leader and the list floor run under `cfg` itself; the
+/// challengers under `cfg` plus a cutoff and an attempt budget.
 ///
 /// # Errors
 ///
+/// Whatever `run` reports for a leader or the list floor, e.g.
 /// [`SchedError::Unschedulable`] when the machine lacks units for the
 /// loop — the same condition the fixed specs report.
-pub(crate) fn race(
+pub fn race_with(
     ddg: &Ddg,
     machine: &MachineConfig,
     spec: AlgorithmSpec,
     popts: &PartitionOptions,
     cfg: &DriverConfig,
-    start_ii: i64,
-    initial: Option<PartitionResult>,
+    seed: &SchedSeed,
+    run: &mut dyn FnMut(AlgorithmSpec, &DriverConfig, &SchedSeed) -> Result<LoopResult, SchedError>,
 ) -> Result<LoopResult, SchedError> {
+    let start_ii = seed.start_ii;
+    let resolved;
+    let seed = if seed.partition.is_some() {
+        seed
+    } else {
+        resolved = SchedSeed {
+            start_ii,
+            partition: Some(partition_ddg(ddg, machine, start_ii, popts)),
+        };
+        &resolved
+    };
     let k = spec.portfolio_k();
     let budget = spec.portfolio_budget();
     let (features, ranked) = {
         let _span = gpsched_trace::span!("portfolio.rank");
-        let f = extract_features(ddg, machine, initial.as_ref(), start_ii);
+        let f = extract_features(ddg, machine, seed.partition.as_ref(), start_ii);
         let order = rank(&f);
         (f, order)
-    };
-    let seed = SchedSeed {
-        start_ii,
-        partition: initial,
     };
     let trips = ddg.trip_count();
 
@@ -342,7 +358,7 @@ pub(crate) fn race(
         };
         let result = {
             let _span = gpsched_trace::span!("portfolio.race", "cand={cand}");
-            schedule_impl(ddg, machine, cand, popts, &cand_cfg, Some(&seed))
+            run(cand, &cand_cfg, seed)
         };
         match result {
             Ok(r) => match &best {
@@ -360,7 +376,7 @@ pub(crate) fn race(
     // list scheduling (the fixed specs guarantee this per spec via their
     // fallback; the portfolio guarantees it across the pool).
     let list = AlgorithmSpec::bare(BaseAlgorithm::List);
-    let list_result = schedule_impl(ddg, machine, list, popts, cfg, Some(&seed))?;
+    let list_result = run(list, cfg, seed)?;
     let (selected, mut winner) = match best {
         Some((s, r)) if key(&r) <= key(&list_result) => (s, r),
         _ => (list, list_result),
